@@ -43,15 +43,17 @@ impl<T: Transport, C: Coherence> ArgoMutex<T, C> {
     pub fn lock(&self, ctx: &mut ArgoCtx<T, C>) -> ArgoMutexGuard<'_, T, C> {
         let t = &mut ctx.thread;
         let obs_start = t.obs_now();
-        let switched = self.lock.acquire_tracked(t);
+        let tenure = self.lock.acquire_tracked(t, self.dsm.membership().epoch());
         let dur = t.obs_now().saturating_sub(obs_start);
         self.obs.acquire.record(dur);
         self.dsm
             .profile()
             .record(t.node().idx(), obs::Site::LockAcquire, dur);
-        if switched {
+        if tenure.switched {
             obs::LockObs::bump(&self.obs.handovers);
         }
+        // Pthreads semantics: self-invalidate on every lock, whatever the
+        // tenure says.
         self.dsm.si_fence(t);
         ArgoMutexGuard { mutex: self }
     }

@@ -2,7 +2,8 @@
 //! placement?
 //!
 //! HQDL's edge over the cohort lock in Figure 12 has two components:
-//! (1) hierarchical fencing — one SI/SD per node tenure instead of per
+//! (1) hierarchical fencing — one SD per node tenure and one SI per
+//! arrival of the global lock from another node, instead of both per
 //! critical section, and (2) delegation — no per-section lock hand-offs
 //! and the protected data stays hot in one executing context. This
 //! ablation isolates (1) by running the cohort lock with per-section

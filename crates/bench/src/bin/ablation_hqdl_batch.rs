@@ -1,11 +1,13 @@
 //! Ablation: HQDL batch size.
 //!
 //! HQDL's benefit comes from executing *many* critical sections per
-//! global-lock tenure (one SI at queue open, one SD at close, amortized).
-//! With `batch_limit = 1` every section pays the full fence + global-lock
-//! round trip — approximating non-hierarchical (remote) delegation, which
-//! the paper argues "does not save us any self-invalidations and
-//! self-downgrades" (§4.2).
+//! global-lock tenure (one SD at queue close, amortized, plus one SI at
+//! queue open when the lock arrived from another node). With
+//! `batch_limit = 1` every section pays its own global-lock round trip and
+//! SD, and more tenures mean more handovers, each with its SI — the cost
+//! structure of non-hierarchical (remote) delegation, which the paper
+//! argues "does not save us any self-invalidations and self-downgrades"
+//! (§4.2).
 
 use argo::{ArgoConfig, ArgoMachine};
 use bench::prioq::{LocalWork, WORK_UNIT_CYCLES};
@@ -64,6 +66,6 @@ fn main() {
         let t = run(nodes, tpn, batch, ops);
         print_row(&[cell(batch), f2(t)]);
     }
-    println!("\nExpectation: throughput rises steeply with batch size — batch 1 pays a");
-    println!("global lock round trip + SI + SD per section (remote-delegation cost).");
+    println!("\nExpectation: throughput rises with batch size — batch 1 pays a global");
+    println!("lock round trip + SD per section, and an SI per handover.");
 }

@@ -1708,6 +1708,22 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 None => group.push((home, vec![idx])),
             }
         }
+        let wanted = ns.cache.index_in_line(page);
+        if !st.pages[wanted].valid && self.global.home_of(page) == me {
+            // A failover re-homed the page to this node after the caller
+            // routed the access to the cache (`declare_dead` moves homes
+            // before it takes slot locks), so nothing will fill it. Report
+            // the departure; `failover_retry` re-runs the access, which now
+            // takes the home path.
+            return Err(DsmError {
+                class: VerbClass::PageFetch,
+                attempts: 0,
+                last_error: VerbError::Departed,
+                node: me,
+                target: me,
+                span,
+            });
+        }
         // A line the stride predictor fetched ahead of time satisfies its
         // pages from the ring; only uncovered pages go to the wire.
         let prefetched = self.take_prefetched(me, line);
@@ -2637,5 +2653,34 @@ impl<T: Transport> Dsm<T, CarinaSiSd> {
     /// The authoritative home directory view for `addr`'s page.
     pub fn home_dir_view(&self, addr: GlobalAddr) -> DirView {
         self.coherence.home_view(addr.page())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::testkit::{thread, tiny_net};
+
+    /// A failover can re-home a page to the faulting node between the
+    /// access path's home check and its miss (homes move before the scrub
+    /// takes slot locks). The miss must not return with the page unfilled.
+    #[test]
+    fn miss_on_a_page_rehomed_to_the_requester_reports_a_departure() {
+        let net = tiny_net(2);
+        let dsm: Arc<Dsm> = Dsm::new(net.clone(), 1 << 20, CarinaConfig::default());
+        let page = (0..dsm.global.total_pages())
+            .map(PageNum)
+            .find(|&p| dsm.global.home_of(p) == 1)
+            .expect("node 1 homes a page");
+        let mut t = thread(&net, 0, 0);
+        let mut st = dsm.nodes[0].cache.lock_slot(page);
+        dsm.global.set_home(page, 0);
+        let err = dsm
+            .read_miss(&mut t, &mut st, page, 0)
+            .expect_err("an unfilled miss must not succeed");
+        assert_eq!(err.last_error, VerbError::Departed);
+        drop(st);
+        // The retry takes the home path.
+        assert_eq!(dsm.read_u64(&mut t, GlobalAddr(page.0 * PAGE_BYTES)), 0);
     }
 }

@@ -3,9 +3,10 @@
 //!
 //! Classic cohort locking (no delegation): each thread acquires a node-
 //! local lock, then the global lock (unless its node already holds it), and
-//! executes the critical section *itself*. Coherence fences are placed
-//! hierarchically, mirroring HQDL's reasoning: SI when the global lock
-//! arrives at a node, SD when it leaves. The remaining per-section cost —
+//! executes the critical section *itself*. With
+//! [`FencePlacement::Hierarchical`], coherence fences are placed mirroring
+//! HQDL's reasoning: SI when the global lock arrives at a node from another
+//! node, SD when it leaves. The remaining per-section cost —
 //! local lock hand-offs between cores/sockets and the migration of the
 //! protected data into each executing thread's context — is exactly what
 //! delegation eliminates, and is why HQDL wins in Figure 12.
@@ -38,9 +39,10 @@ pub enum FencePlacement {
     /// achieved via a data race, Carina must self-invalidate and/or
     /// self-downgrade all cached data"). This is the Figure 12 baseline.
     PerSection,
-    /// SI only when the global lock arrives at a node, SD only when it
-    /// leaves — the hierarchical reasoning HQDL introduces, grafted onto
-    /// cohorting (an ablation, not a paper configuration).
+    /// SI only when the global lock arrives at a node from another node
+    /// (or the membership epoch moved: [`crate::dsm::Tenure`]), SD only
+    /// when it leaves — the hierarchical reasoning HQDL introduces, grafted
+    /// onto cohorting (an ablation, not a paper configuration).
     Hierarchical,
 }
 
@@ -104,10 +106,15 @@ impl<T: Transport, C: Coherence> DsmCohortLock<T, C> {
             t.merge(handoff);
             if !st.owns_global {
                 drop(st);
-                self.global.acquire(t);
-                // The lock arrived at this node: observe other nodes'
-                // critical sections.
-                self.dsm.si_fence(t);
+                let tenure = self
+                    .global
+                    .acquire_tracked(t, self.dsm.membership().epoch());
+                // Observe other nodes' critical sections: always under
+                // per-section fencing, only on arrival from another node
+                // under hierarchical fencing.
+                if self.fencing == FencePlacement::PerSection || tenure.must_self_invalidate {
+                    self.dsm.si_fence(t);
+                }
                 let mut st = tier.state.lock();
                 st.owns_global = true;
                 st.passes = 0;
@@ -136,7 +143,8 @@ impl<T: Transport, C: Coherence> DsmCohortLock<T, C> {
             drop(st);
             // The lock leaves this node: publish our sections' writes.
             self.dsm.sd_fence(t);
-            self.global.release(t);
+            self.global
+                .release_tracked(t, self.dsm.membership().epoch());
             let mut st = tier.state.lock();
             st.locked = false;
             st.last_release = t.now();
@@ -199,5 +207,36 @@ mod tests {
         // correctness of fence pairing — SI fences ≤ global acquisitions.
         let si = dsm.stats().snapshot().si_fences;
         assert!(si <= lock.global.stats().acquisitions);
+    }
+
+    #[test]
+    fn hierarchical_fencing_skips_si_when_the_lock_stays_home() {
+        let net = tiny_net(2);
+        let dsm = Dsm::new(net.clone(), 1 << 20, CarinaConfig::default());
+        let addr = GlobalAddr(2 * PAGE_BYTES);
+        let si = || dsm.stats().snapshot().si_fences;
+        let lock = DsmCohortLock::with_fencing(dsm.clone(), 16, FencePlacement::Hierarchical);
+        let mut a = thread(&net, 0, 0);
+        for _ in 0..20 {
+            lock.with(&mut a, |ht| {
+                let v = dsm.read_u64(ht, addr);
+                dsm.write_u64(ht, addr, v + 1);
+            });
+        }
+        // No waiters: every section surrenders the global lock, yet only
+        // the first acquisition received it from elsewhere.
+        assert_eq!(lock.global.stats().acquisitions, 20);
+        assert_eq!(si(), 1);
+        let mut b = thread(&net, 1, 0);
+        lock.with(&mut b, |ht| dsm.write_u64(ht, addr, 7));
+        assert_eq!(lock.with(&mut a, |ht| dsm.read_u64(ht, addr)), 7);
+        assert_eq!(si(), 3);
+        // The paper's baseline still fences on every acquisition.
+        let base = DsmCohortLock::new(dsm.clone(), 16);
+        let before = si();
+        for _ in 0..5 {
+            base.with(&mut a, |_| {});
+        }
+        assert_eq!(si() - before, 5);
     }
 }

@@ -3,9 +3,12 @@
 //! Models an MCS-style queue lock whose word lives in one node's share of
 //! global memory: acquisition is a remote atomic (one round trip); a
 //! contended hand-off is the previous holder's one-way flag write. The
-//! *coherence* consequences of locking (SI on acquire / SD on release) are
+//! *coherence* fences of locking (SI on acquire / SD on release) are
 //! deliberately **not** part of this type — HQDL's whole point is choosing
-//! where those fences go (paper §4.2).
+//! where those fences go (paper §4.2). The lock does answer the question
+//! that choice hinges on: [`Tenure::must_self_invalidate`] says whether
+//! anything another node published could have reached this node's cache
+//! since its last tenure.
 
 use carina::DsmError;
 use parking_lot::{Condvar, Mutex};
@@ -31,9 +34,32 @@ struct LockState {
     locked: bool,
     /// Virtual time of the last release (what the next holder merges).
     last_release: u64,
-    /// Successive acquisitions by the same node skip the remote round trip
-    /// probability model — tracked for stats only.
+    /// Node of the previous tenure. A same-node re-acquisition skips the
+    /// hand-off hop, and it is half of the self-invalidation rule
+    /// ([`Tenure::must_self_invalidate`]).
     last_holder: Option<u16>,
+    /// Membership epoch at the last release, when the releaser passed one
+    /// ([`DsmGlobalLock::release_tracked`]); `None` after a plain release
+    /// or before the first, which forces the next holder to
+    /// self-invalidate.
+    released_epoch: Option<u64>,
+}
+
+/// What one acquisition of a [`DsmGlobalLock`] tells its holder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tenure {
+    /// The previous holder was a different node (a *handover*: the release
+    /// flag crossed the network to reach us).
+    pub switched: bool,
+    /// The holder must self-invalidate before touching data this lock
+    /// protects: the lock arrived from another node, or the membership
+    /// epoch moved since the last release. Otherwise every section since
+    /// this node's last tenure ran on this node, and caches are per node:
+    /// in a data-race-free program, data another node wrote is ordered
+    /// before our reads either by this lock — then it switched nodes — or
+    /// by some other synchronization whose acquire already
+    /// self-invalidated this node's cache.
+    pub must_self_invalidate: bool,
 }
 
 /// Statistics of a [`DsmGlobalLock`].
@@ -70,6 +96,7 @@ impl DsmGlobalLock {
                     locked: false,
                     last_release: 0,
                     last_holder: None,
+                    released_epoch: None,
                 },
                 GlobalLockStats::default(),
             )),
@@ -83,20 +110,21 @@ impl DsmGlobalLock {
     /// Panics if the fabric stays broken past the retry budget; see
     /// [`Self::try_acquire`] for the fallible flavor.
     pub fn acquire<E: Endpoint>(&self, t: &mut E) {
-        self.acquire_tracked(t);
+        self.acquire_tracked(t, 0);
     }
 
     /// Fallible flavor of [`Self::acquire`].
     pub fn try_acquire<E: Endpoint>(&self, t: &mut E) -> Result<(), DsmError> {
-        self.try_acquire_tracked(t).map(|_| ())
+        self.try_acquire_tracked(t, 0).map(|_| ())
     }
 
-    /// [`acquire`](Self::acquire), reporting whether the lock changed hands
-    /// between nodes (a *handover*: the previous holder was a different
-    /// node, so the release flag crossed the network to reach us).
-    pub fn acquire_tracked<E: Endpoint>(&self, t: &mut E) -> bool {
-        match self.try_acquire_tracked(t) {
-            Ok(switched) => switched,
+    /// [`acquire`](Self::acquire), reporting the [`Tenure`]: whether the
+    /// lock changed hands between nodes and whether the holder must
+    /// self-invalidate. `epoch` is the caller's current membership epoch
+    /// (`dsm.membership().epoch()`).
+    pub fn acquire_tracked<E: Endpoint>(&self, t: &mut E, epoch: u64) -> Tenure {
+        match self.try_acquire_tracked(t, epoch) {
+            Ok(tenure) => tenure,
             Err(e) => panic!("unrecoverable DSM fault: {e}"),
         }
     }
@@ -104,7 +132,11 @@ impl DsmGlobalLock {
     /// Fallible flavor of [`Self::acquire_tracked`]: an exhausted CAS
     /// budget surfaces *before* any queue state changes, so a failed
     /// acquisition leaves the lock exactly as it found it.
-    pub fn try_acquire_tracked<E: Endpoint>(&self, t: &mut E) -> Result<bool, DsmError> {
+    pub fn try_acquire_tracked<E: Endpoint>(
+        &self,
+        t: &mut E,
+        epoch: u64,
+    ) -> Result<Tenure, DsmError> {
         // The CAS on the lock word costs a round trip regardless of
         // outcome; a dropped CAS is reissued after backing off locally.
         self.retry
@@ -123,6 +155,7 @@ impl DsmGlobalLock {
         st.1.acquisitions += 1;
         let me = t.node().0;
         let switched = st.0.last_holder != Some(me);
+        let must_self_invalidate = switched || st.0.released_epoch != Some(epoch);
         let before = t.now();
         if switched {
             st.1.node_switches += 1;
@@ -148,7 +181,10 @@ impl DsmGlobalLock {
                 std::thread::yield_now();
             }
         }
-        Ok(switched)
+        Ok(Tenure {
+            switched,
+            must_self_invalidate,
+        })
     }
 
     /// Release: a posted write of the lock word (the successor's spin flag).
@@ -161,10 +197,24 @@ impl DsmGlobalLock {
         }
     }
 
+    /// [`release`](Self::release) that records the releaser's membership
+    /// epoch, so the node's next [`Tenure`] may skip its self-invalidation
+    /// if nothing moved. The releaser must have self-downgraded first: it
+    /// cannot know which node acquires next.
+    pub fn release_tracked<E: Endpoint>(&self, t: &mut E, epoch: u64) {
+        if let Err(e) = self.try_release_at(t, Some(epoch)) {
+            panic!("unrecoverable DSM fault: {e}");
+        }
+    }
+
     /// Fallible flavor of [`Self::release`]: if the hand-off write never
     /// lands, the lock stays held (the successor must not observe a release
     /// that did not reach the fabric).
     pub fn try_release<E: Endpoint>(&self, t: &mut E) -> Result<(), DsmError> {
+        self.try_release_at(t, None)
+    }
+
+    fn try_release_at<E: Endpoint>(&self, t: &mut E, epoch: Option<u64>) -> Result<(), DsmError> {
         self.retry
             .run(VerbClass::LockAtomic, !(self.home.0 as u64), |a| {
                 if a.step > 0 {
@@ -177,6 +227,7 @@ impl DsmGlobalLock {
         assert!(st.0.locked, "releasing an unheld global lock");
         st.0.locked = false;
         st.0.last_release = t.now();
+        st.0.released_epoch = epoch;
         self.cond.notify_one();
         Ok(())
     }
@@ -238,6 +289,35 @@ mod tests {
         let c = CostModel::paper_2011();
         assert!(t.now() >= 2 * c.network_latency);
         lock.release(&mut t);
+    }
+
+    #[test]
+    fn tenure_requires_si_only_on_arrival_or_epoch_change() {
+        let net = tiny_net(2);
+        let lock = DsmGlobalLock::new(NodeId(0));
+        let (mut a, mut b) = (thread(&net, 0, 0), thread(&net, 1, 0));
+        let tenure = |switched, must_self_invalidate| Tenure {
+            switched,
+            must_self_invalidate,
+        };
+        // The first holder knows nothing about the past.
+        assert_eq!(lock.acquire_tracked(&mut a, 0), tenure(true, true));
+        lock.release_tracked(&mut a, 0);
+        // Same node, same epoch: nothing to invalidate.
+        assert_eq!(lock.acquire_tracked(&mut a, 0), tenure(false, false));
+        lock.release_tracked(&mut a, 0);
+        // Same node, but the membership moved since the release.
+        assert_eq!(lock.acquire_tracked(&mut a, 1), tenure(false, true));
+        // A plain release promises nothing about the epoch.
+        lock.release(&mut a);
+        assert_eq!(lock.acquire_tracked(&mut a, 1), tenure(false, true));
+        lock.release_tracked(&mut a, 1);
+        // Arrival from another node always invalidates.
+        assert_eq!(lock.acquire_tracked(&mut b, 1), tenure(true, true));
+        lock.release_tracked(&mut b, 1);
+        assert_eq!(lock.acquire_tracked(&mut a, 1), tenure(true, true));
+        lock.release_tracked(&mut a, 1);
+        assert_eq!(lock.stats().node_switches, 3);
     }
 
     #[test]

@@ -9,14 +9,20 @@
 //!
 //! 1. A node's would-be helper acquires a *global* lock; the node becomes
 //!    the active node.
-//! 2. The helper performs **one** SI fence ("see data possibly written in
-//!    earlier executions of critical sections in other nodes").
+//! 2. If the lock arrived from another node (or the membership epoch moved
+//!    since the last release), the helper performs **one** SI fence ("see
+//!    data possibly written in earlier executions of critical sections in
+//!    other nodes"). A tenure that follows this node's own needs none:
+//!    caches are per node, so every earlier section's writes are already
+//!    in them ([`crate::dsm::Tenure::must_self_invalidate`]).
 //! 3. Threads of the active node delegate critical sections into the node
 //!    queue; the helper executes them back to back on one core — no
 //!    fences, no lock hand-offs, local cache reuse.
 //! 4. After the queue is empty (or a batch limit is reached), **one** SD
 //!    fence publishes every executed section's writes, and the global lock
-//!    moves on.
+//!    is released. The SD is unconditional: a releaser without message
+//!    handlers cannot know whether the next tenure is on another node,
+//!    which is what makes the SI of step 2 safe to skip.
 //!
 //! Threads on non-active nodes simply wait to become the active node; "if
 //! the program depends on lock performance, it has enough work even on a
@@ -71,7 +77,8 @@ pub struct HqdlStats {
     /// Virtual cycles helpers spent acquiring the global lock (incl.
     /// waiting for other nodes' tenures).
     pub acquire_cycles: u64,
-    /// Virtual cycles helpers spent in SI/SD fences.
+    /// Virtual cycles helpers spent in SI/SD fences (SI only on tenures
+    /// that must self-invalidate).
     pub fence_cycles: u64,
     /// Virtual cycles helpers spent executing delegated sections.
     pub section_cycles: u64,
@@ -228,8 +235,8 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
     }
 
     /// Become this node's helper if the role is free and the queue is
-    /// non-empty: acquire the global lock, SI once, run a batch, SD once,
-    /// release.
+    /// non-empty: acquire the global lock, SI once if the tenure requires
+    /// it, run a batch, SD once, release.
     fn try_help(&self, t: &mut T::Endpoint, node: usize) {
         let nq = &self.node_queues[node];
         if nq.queue.is_empty() || !nq.helper.try_lock() {
@@ -248,18 +255,22 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
         // link back to it in the flight-recorder timeline.
         let span = self.dsm.mint_span(t, node as u16);
         t.set_span(span);
-        let switched = self.global.acquire_tracked(t);
+        let tenure = self
+            .global
+            .acquire_tracked(t, self.dsm.membership().epoch());
         let t1 = t.now();
         let acquire_dur = t.obs_now().saturating_sub(obs_t0);
         self.obs.acquire.record(acquire_dur);
         self.dsm
             .record_site(t, node as u16, obs::Site::LockAcquire, span, obs_t0, acquire_dur);
-        if switched {
+        if tenure.switched {
             obs::LockObs::bump(&self.obs.handovers);
         }
         // Open the delegation queue: one SI to observe earlier critical
-        // sections executed on other nodes.
-        self.dsm.si_fence(t);
+        // sections executed on other nodes — skipped when there were none.
+        if tenure.must_self_invalidate {
+            self.dsm.si_fence(t);
+        }
         let t2 = t.now();
         self.acquire_cycles.fetch_add(t1 - t0, Ordering::Relaxed);
         let mut executed = 0usize;
@@ -296,7 +307,8 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
         self.dsm.sd_fence(t);
         self.fence_cycles
             .fetch_add((t2 - t1) + (t.now() - t3), Ordering::Relaxed);
-        self.global.release(t);
+        self.global
+            .release_tracked(t, self.dsm.membership().epoch());
         t.set_span(rma::SpanId::NONE);
         // SAFETY: locked above.
         unsafe { nq.helper.unlock() };
@@ -420,6 +432,62 @@ mod tests {
         }
         let d = dsm.clone();
         assert_eq!(lock.delegate_wait(&mut t, move |ht| d.read_u64(ht, addr)), 100);
+    }
+
+    fn si_fences(dsm: &Dsm) -> u64 {
+        dsm.stats().snapshot().si_fences
+    }
+
+    #[test]
+    fn si_fence_only_when_the_lock_arrives_from_another_node() {
+        let (dsm, net) = setup(2);
+        let addr = GlobalAddr(3 * PAGE_BYTES);
+        let lock = Hqdl::new(dsm.clone(), 64);
+        let mut a = thread(&net, 0, 0);
+        let before = si_fences(&dsm);
+        for _ in 0..50 {
+            let d = dsm.clone();
+            lock.delegate_wait(&mut a, move |ht| {
+                let v = d.read_u64(ht, addr);
+                d.write_u64(ht, addr, v + 1);
+            });
+        }
+        // One thread delegating synchronously: every section is its own
+        // tenure, and only the first one received the lock from elsewhere.
+        assert_eq!(lock.stats().batches, 50);
+        assert_eq!(si_fences(&dsm) - before, 1);
+        // Node 1 takes the lock (one SI) and overwrites the word node 0
+        // holds cached.
+        let mut b = thread(&net, 1, 0);
+        let d = dsm.clone();
+        lock.delegate_wait(&mut b, move |ht| d.write_u64(ht, addr, 1000));
+        assert_eq!(si_fences(&dsm) - before, 2);
+        // The lock comes back to node 0 (one SI), which must see the write.
+        let d = dsm.clone();
+        assert_eq!(lock.delegate_wait(&mut a, move |ht| d.read_u64(ht, addr)), 1000);
+        assert_eq!(si_fences(&dsm) - before, 3);
+    }
+
+    #[test]
+    fn membership_epoch_change_forces_si() {
+        let (dsm, net) = setup(2);
+        let lock = Hqdl::new(dsm.clone(), 64);
+        let mut a = thread(&net, 0, 0);
+        let before = si_fences(&dsm);
+        lock.delegate_wait(&mut a, |_| {});
+        lock.delegate_wait(&mut a, |_| {});
+        assert_eq!(si_fences(&dsm) - before, 1);
+        // Node 1 departs between two node-0 tenures: the epoch bump forces
+        // the next tenure's SI, and only that one.
+        assert!(dsm.declare_dead(1, 0, rma::SpanId::NONE, 0));
+        lock.delegate_wait(&mut a, |_| {});
+        lock.delegate_wait(&mut a, |_| {});
+        assert_eq!(si_fences(&dsm) - before, 2);
+        // So does its rejoin.
+        assert_eq!(dsm.join_node(1), 2);
+        lock.delegate_wait(&mut a, |_| {});
+        lock.delegate_wait(&mut a, |_| {});
+        assert_eq!(si_fences(&dsm) - before, 3);
     }
 
     #[test]

@@ -15,6 +15,6 @@ pub mod hqdl;
 pub use barrier::{ClockBarrier, HierBarrier};
 pub use flag::DsmFlag;
 pub use cohort_dsm::{DsmCohortLock, FencePlacement};
-pub use global_lock::{DsmGlobalLock, GlobalLockStats};
+pub use global_lock::{DsmGlobalLock, GlobalLockStats, Tenure};
 pub use heap::DsmPairingHeap;
 pub use hqdl::{DsmFuture, Hqdl, HqdlStats};

@@ -14,8 +14,10 @@
 use argo::types::GlobalF64Array;
 use argo::{ArgoConfig, ArgoMachine};
 use carina::{CarinaSiSd, Coherence, CoherenceSnapshot, Pyxis, Tardis};
+use mem::{GlobalAddr, PAGE_BYTES};
 use rma::SimTransport;
 use std::sync::Arc;
+use vela::Hqdl;
 use workloads::{matmul, sor};
 
 fn machine<C: Coherence>(nodes: usize, tpn: usize) -> Arc<ArgoMachine<SimTransport, C>> {
@@ -138,6 +140,47 @@ fn final_memory_words_are_policy_independent() {
     assert_eq!(sums_sisd, sums_tardis, "observed values diverged across policies");
     assert_eq!(mem_sisd, mem_pyxis, "final memory diverged under pyxis");
     assert_eq!(sums_sisd, sums_pyxis, "observed values diverged under pyxis");
+}
+
+/// Delegated critical sections under every policy: HQDL skips its SI when
+/// the global lock stays on a node, so each policy's acquire side must
+/// still show every section the writes of all earlier ones. Each section
+/// reads one word on each of three pages, checks they agree, and
+/// increments all three.
+#[test]
+fn hqdl_sections_are_policy_independent() {
+    const SECTIONS: u64 = 200;
+    fn run<C: Coherence>() -> (Vec<u64>, CoherenceSnapshot) {
+        let m = machine::<C>(3, 2);
+        let dsm = m.dsm().clone();
+        let base = dsm.allocator().alloc_pages(3).expect("mem");
+        let words: Vec<GlobalAddr> = (0..3).map(|p| base.offset(p * PAGE_BYTES)).collect();
+        let lock = Hqdl::new(dsm.clone(), 64);
+        let w = words.clone();
+        let report = m.run(move |ctx| {
+            for _ in 0..SECTIONS {
+                let (d, w) = (dsm.clone(), w.clone());
+                lock.delegate_wait(&mut ctx.thread, move |ht| {
+                    let v: Vec<u64> = w.iter().map(|&a| d.read_u64(ht, a)).collect();
+                    assert!(v.iter().all(|&x| x == v[0]), "pages disagree: {v:?}");
+                    for &a in &w {
+                        d.write_u64(ht, a, v[0] + 1);
+                    }
+                });
+            }
+        });
+        let finals = words.iter().map(|&a| m.dsm().peek_u64(a)).collect();
+        (finals, report.coherence)
+    }
+    let (sisd, c_sisd) = run::<CarinaSiSd>();
+    let (tardis, c_tardis) = run::<Tardis>();
+    let (pyxis, c_pyxis) = run::<Pyxis>();
+    assert_eq!(sisd, vec![6 * SECTIONS; 3], "sisd lost an increment");
+    assert_eq!(sisd, tardis, "hqdl diverged across policies");
+    assert_eq!(sisd, pyxis, "hqdl diverged under pyxis");
+    assert_carina_shaped(&c_sisd);
+    assert_tardis_shaped(&c_tardis);
+    assert_pyxis_shaped(&c_pyxis);
 }
 
 /// The report carries the policy name end to end.
